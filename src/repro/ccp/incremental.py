@@ -1,11 +1,11 @@
-"""Delta-maintained obsolescence analyses (checkpoint-knowledge tracking).
+"""Checkpoint-knowledge tracking: the recorder's analysis substrate.
 
 The classic oracles answer Theorem-1/2 retention and Lemma-1 recovery lines
 by querying checkpoint-level causal precedence, which rides on a
 :class:`~repro.causality.happens_before.CausalOrder` — an ``O(E * P)``
-vector-clock replay of the whole event log.  This module maintains the same
-information *online*, in ``O(P)`` per recorded event, so analysis instants do
-no event-graph traversal at all:
+vector-clock replay of the whole event log.  This module derives the same
+information in ``O(P)`` per event, so analysis instants do no event-graph
+traversal at all:
 
 * ``ck[p][f]`` — the *checkpoint knowledge* of process ``p``: the largest
   index of a stable checkpoint of ``f`` whose checkpoint event lies in the
@@ -22,6 +22,10 @@ m`` (and precedes the volatile ``v_i`` iff ``ck[i][f] >= m``).  The retained
 sets and recovery lines fall out as linear scans over the *live* checkpoint
 window — bounded by obsolescence pruning, not by run length.
 
+The state is maintained *lazily*: recording an event costs the tracker
+nothing; :meth:`CheckpointKnowledgeTracker.catch_up` applies the events
+appended since the last query, through per-process cursors.
+
 A per-process journal of ``(seq, ck)`` snapshots at knowledge-changing events
 supports recovery truncation (restore the vector at the cut by bisection) and
 is itself pruned together with the log; this is what keeps the state exact on
@@ -31,9 +35,8 @@ of pruned sends survive only as INTERNAL placeholders.
 :class:`IncrementalAnalysisView` is the read side handed to
 :class:`~repro.ccp.pattern.CCP` as its ``analysis_provider``: it is bound to
 the recorder version it was created at and refuses to answer once the
-recorded execution has moved on.  ``mode="check"`` makes the analysis cache
-compute the classic full-recompute answer as well and assert equality — the
-cross-check the equivalence test matrix runs.
+recorded execution has moved on.  The classic full recompute over the same
+log is its test-time reference (``tests/differential.py``).
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
+from repro.causality.events import EventKind, EventLog
 from repro.ccp.checkpoint import CheckpointId
 from repro.membership import MembershipError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.consistency import GlobalCheckpoint
     from repro.simulation.trace import TraceRecorder
-
-INCREMENTAL_MODES = ("off", "on", "check")
 
 
 def _entry(vector: Sequence[int], f: int) -> int:
@@ -62,15 +64,29 @@ def _entry(vector: Sequence[int], f: int) -> int:
 
 
 class CheckpointKnowledgeTracker:
-    """Online checkpoint-knowledge state, O(P) per recorded event.
+    """Checkpoint-knowledge state, caught up lazily from an event log.
+
+    The tracker applies the events of a log through per-process cursors
+    (:meth:`catch_up`), the way
+    :class:`~repro.causality.happens_before.CausalOrder` replays a log: each
+    event is applied once, a receive waits until its send has been applied.
+    Nothing happens between queries, so a recorder that is never analysed
+    never pays for the state.
 
     The matrices are sized for the current capacity and grow via
-    :meth:`grow` when membership expands; out-of-range pids raise
-    :class:`~repro.membership.MembershipError` rather than IndexError.
+    :meth:`grow` when membership expands; a log wider than the tracked
+    capacity raises :class:`~repro.membership.MembershipError` rather than
+    IndexError.
     """
 
     def __init__(self, num_processes: int) -> None:
         self._num_processes = num_processes
+        self._applied = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        """Forget every applied event (cursors back to the log's start)."""
+        num_processes = self._num_processes
         self.ck: List[List[int]] = [[-1] * num_processes for _ in range(num_processes)]
         #: Knowledge snapshot piggybacked on each sent message (kept until the
         #: message can no longer be (re-)delivered, i.e. dropped or pruned).
@@ -86,19 +102,21 @@ class CheckpointKnowledgeTracker:
         self.base_ck: List[Tuple[int, ...]] = [
             (-1,) * num_processes for _ in range(num_processes)
         ]
+        #: Per process, the number of leading log events already applied.
+        self._cursors: List[int] = [0] * num_processes
+        #: ``(pid, seq) -> message_id`` of INTERNAL placeholder events that
+        #: stand for the delivery of a message whose send was pruned.
+        self._placeholders: Dict[Tuple[int, int], int] = {}
 
     @property
     def num_processes(self) -> int:
         """The tracked capacity."""
         return self._num_processes
 
-    def _check_pid(self, pid: int) -> None:
-        if not 0 <= pid < self._num_processes:
-            raise MembershipError(
-                f"process {pid} is outside the tracked capacity of "
-                f"{self._num_processes} processes (expected pid < "
-                f"{self._num_processes}); grow the tracker on join first"
-            )
+    @property
+    def applied_events(self) -> int:
+        """Total log events applied so far (monotonic; never reset by rewrites)."""
+        return self._applied
 
     def grow(self, num_processes: int) -> None:
         """Extend the matrices to a larger capacity (membership join).
@@ -106,7 +124,9 @@ class CheckpointKnowledgeTracker:
         Live vectors are padded with -1 (nobody can know a checkpoint of a
         process that did not exist); frozen snapshots (``msg_ck``,
         ``ckpt_ck``, journal entries) are left short and read through
-        :func:`_entry`, so no history rewrite is needed.
+        :func:`_entry`, so no history rewrite is needed.  Events not yet
+        applied need no catch-up first: they are applied at the new capacity
+        later, which reads the same through :func:`_entry`.
         """
         if num_processes < self._num_processes:
             raise MembershipError(
@@ -123,6 +143,7 @@ class CheckpointKnowledgeTracker:
         self.base_ck = [base + (-1,) * pad for base in self.base_ck]
         self.base_ck.extend((-1,) * num_processes for _ in range(pad))
         self.journal.extend([] for _ in range(pad))
+        self._cursors.extend([0] * pad)
         self._num_processes = num_processes
 
     def _full_row(self, vector: Sequence[int]) -> List[int]:
@@ -130,35 +151,112 @@ class CheckpointKnowledgeTracker:
         return [_entry(vector, f) for f in range(self._num_processes)]
 
     # ------------------------------------------------------------------
-    # Event notifications (called by TraceRecorder)
+    # Catch-up
     # ------------------------------------------------------------------
-    def note_send(self, message_id: int, sender: int) -> None:
-        self._check_pid(sender)
-        self.msg_ck[message_id] = tuple(self.ck[sender])
+    def note_pruned_receive(self, pid: int, seq: int, message_id: int) -> None:
+        """The INTERNAL event ``seq`` of ``pid`` delivers pruned send ``message_id``.
 
-    def note_receive(self, message_id: int, receiver: int, seq: int) -> None:
-        self._check_pid(receiver)
-        snapshot = self.msg_ck[message_id]
-        vector = self.ck[receiver]
-        changed = False
-        for f, known in enumerate(snapshot):
-            if known > vector[f]:
-                vector[f] = known
-                changed = True
-        if changed:
-            self.journal[receiver].append((seq, tuple(vector)))
+        The event log cannot say so (the send is gone), yet the message's
+        knowledge still reaches the receiver: :meth:`catch_up` merges the
+        snapshot taken when the send was applied (pruning always catches up
+        first, so it exists).
+        """
+        self._placeholders[(pid, seq)] = message_id
 
-    def note_checkpoint(self, pid: int, index: int, seq: int) -> None:
-        self._check_pid(pid)
-        self.ckpt_ck[CheckpointId(pid, index)] = tuple(self.ck[pid])
-        self.ck[pid][pid] = index
-        self.journal[pid].append((seq, tuple(self.ck[pid])))
+    def _merge(self, pid: int, snapshot: Sequence[int], seq: int) -> None:
+        row = self.ck[pid]
+        merged = list(map(max, row, snapshot))
+        if len(snapshot) < len(row):
+            merged.extend(row[len(snapshot) :])
+        if merged != row:
+            self.ck[pid] = merged
+            self.journal[pid].append((seq, tuple(merged)))
+
+    def catch_up(self, log: EventLog) -> None:
+        """Apply every event of ``log`` past the cursors.
+
+        Sends snapshot the sender's vector, receives merge the send's
+        snapshot into the receiver, and checkpoint ``k`` freezes the vector
+        and sets the own entry to ``k``.  Idempotent; a no-op when current.
+        Raises ``ValueError`` if a receive's send never appears.
+        """
+        if log.num_processes > self._num_processes:
+            raise MembershipError(
+                f"the log has {log.num_processes} processes but the tracked "
+                f"capacity is {self._num_processes} (expected pid < "
+                f"{self._num_processes}); grow the tracker on join first"
+            )
+        cursors = self._cursors
+        histories = log.histories()
+        remaining = sum(
+            len(history) - cursors[pid] for pid, history in enumerate(histories)
+        )
+        msg_ck, placeholders = self.msg_ck, self._placeholders
+        while remaining:
+            progressed = False
+            for pid, history in enumerate(histories):
+                events = history.events
+                cursor = cursors[pid]
+                end = len(events)
+                start = cursor
+                while cursor < end:
+                    event = events[cursor]
+                    kind = event.kind
+                    if kind is EventKind.SEND:
+                        msg_ck[event.message_id] = tuple(self.ck[pid])  # type: ignore[index]
+                    elif kind is EventKind.RECEIVE:
+                        snapshot = msg_ck.get(event.message_id)  # type: ignore[arg-type]
+                        if snapshot is None:
+                            break  # wait for the send to be applied
+                        self._merge(pid, snapshot, cursor)
+                    elif kind is EventKind.CHECKPOINT:
+                        index = event.checkpoint_index
+                        assert index is not None
+                        row = self.ck[pid]
+                        self.ckpt_ck[CheckpointId(pid, index)] = tuple(row)
+                        row[pid] = index
+                        self.journal[pid].append((cursor, tuple(row)))
+                    elif placeholders:
+                        message_id = placeholders.pop((pid, cursor), None)
+                        if message_id is not None:
+                            self._merge(pid, msg_ck.pop(message_id), cursor)
+                    cursor += 1
+                if cursor > start:
+                    cursors[pid] = cursor
+                    self._applied += cursor - start
+                    remaining -= cursor - start
+                    progressed = True
+            if not progressed:
+                raise ValueError(
+                    "event log is not causally replayable: some receive has no "
+                    "matching send before it"
+                )
 
     # ------------------------------------------------------------------
     # History rewrites
     # ------------------------------------------------------------------
-    def apply_truncation(self, lengths: Sequence[int]) -> None:
-        """Restore the state at a per-process prefix cut (recovery session)."""
+    def apply_truncation(
+        self, log: EventLog, lengths: Sequence[int], dropped: Iterable[int]
+    ) -> None:
+        """Restore the state at a per-process prefix cut of ``log`` (recovery).
+
+        ``dropped`` are the messages whose send the cut removes.  Needs no
+        catch-up first: events past a cursor were never applied, so each
+        cursor simply clips to its process's cut.  A receive kept below the
+        cut whose send is dropped (an inconsistent line, possible without
+        RDT) becomes an INTERNAL event of the truncated log; if it was
+        already applied, the journal cannot unwind its merge, so an unpruned
+        tracker starts over and re-derives the truncated log lazily.
+        """
+        dropped = set(dropped)
+        if not any(log.checkpoint_bases) and any(
+            event.kind is EventKind.RECEIVE and event.message_id in dropped
+            for pid, history in enumerate(log.histories())
+            for event in history.events[: min(lengths[pid], self._cursors[pid])]
+        ):
+            self._clear()
+            return
+        self.forget_messages(dropped)
         for pid in range(self._num_processes):
             entries = self.journal[pid]
             cut = bisect_right(entries, lengths[pid] - 1, key=lambda item: item[0])
@@ -166,9 +264,17 @@ class CheckpointKnowledgeTracker:
             self.ck[pid] = self._full_row(
                 entries[-1][1] if entries else self.base_ck[pid]
             )
+            self._cursors[pid] = min(self._cursors[pid], lengths[pid])
+        for key in [key for key in self._placeholders if key[1] >= lengths[key[0]]]:
+            self.msg_ck.pop(self._placeholders.pop(key), None)
 
     def apply_suffix(self, starts: Sequence[int]) -> None:
-        """Drop journal prefixes and re-offset seqs after the log was pruned."""
+        """Drop journal prefixes and re-offset seqs after the log was pruned.
+
+        The tracker must be current with the pre-prune log: the dropped
+        events can no longer be applied afterwards.
+        """
+        assert not self._placeholders, "prune without a prior catch-up"
         for pid in range(self._num_processes):
             entries = self.journal[pid]
             cut = bisect_right(entries, starts[pid] - 1, key=lambda item: item[0])
@@ -177,6 +283,7 @@ class CheckpointKnowledgeTracker:
             self.journal[pid] = [
                 (seq - starts[pid], vector) for seq, vector in entries[cut:]
             ]
+            self._cursors[pid] -= starts[pid]
 
     def forget_checkpoints(self, cids: Iterable[CheckpointId]) -> None:
         for cid in cids:
@@ -196,25 +303,9 @@ class IncrementalAnalysisView:
     silently describe a different execution, so stale access raises.
     """
 
-    def __init__(self, recorder: "TraceRecorder", mode: str) -> None:
+    def __init__(self, recorder: "TraceRecorder") -> None:
         self._recorder = recorder
         self._version = recorder.version
-        self._mode = mode
-
-    @property
-    def mode(self) -> str:
-        """``"on"`` (authoritative) or ``"check"`` (cross-checked by the cache)."""
-        return self._mode
-
-    @property
-    def comparable(self) -> bool:
-        """True when classic full recompute over the log equals ground truth.
-
-        On pruned histories the event graph has lost edges (receives of pruned
-        sends survive as INTERNAL placeholders), so the classic recomputation
-        is not a valid reference and check mode compares nothing.
-        """
-        return all(base == 0 for base in self._recorder.log.checkpoint_bases)
 
     # ------------------------------------------------------------------
     # Internals
@@ -227,7 +318,6 @@ class IncrementalAnalysisView:
                 "changed since this CCP snapshot was taken"
             )
         tracker = recorder.knowledge_tracker
-        assert tracker is not None
         last_stable = [taken - 1 for taken in recorder.checkpoints_taken]
         bases = list(recorder.log.checkpoint_bases)
         return tracker, last_stable, bases
@@ -251,9 +341,11 @@ class IncrementalAnalysisView:
     # ------------------------------------------------------------------
     # Analyses
     # ------------------------------------------------------------------
-    def theorem1_retained(self) -> FrozenSet[CheckpointId]:
-        """Theorem 1 over knowledge state: c_i^k is retained iff some process f
-        satisfies ``ckpt_ck[c_i^{k+1}][f] >= last(f) > ckpt_ck[c_i^k][f]``.
+    def _retained(self, theorem: int) -> FrozenSet[CheckpointId]:
+        """Checkpoints ``c_i^k`` with some ``f`` such that
+        ``ckpt_ck[c_i^{k+1}][f] >= pin[f] > ckpt_ck[c_i^k][f]``: ``pin`` is
+        the global ``last(f)`` for Theorem 1 and the owner's *known* last
+        checkpoints ``ck[i][f]`` for Theorem 2.
 
         Departed processes are excluded on both sides: they can never be
         faulty again, so nothing pins their checkpoints and they pin
@@ -266,6 +358,7 @@ class IncrementalAnalysisView:
         for pid in range(n):
             if pid in departed:
                 continue
+            pinned = last_stable if theorem == 1 else tracker.ck[pid]
             for k in range(bases[pid], last_stable[pid] + 1):
                 cid = CheckpointId(pid, k)
                 current = tracker.ckpt_ck[cid]
@@ -273,35 +366,19 @@ class IncrementalAnalysisView:
                 for f in range(n):
                     if f in departed:
                         continue
-                    last = last_stable[f]
-                    if last >= 0 and _entry(successor, f) >= last > _entry(current, f):
-                        retained.add(cid)
-                        break
-        return frozenset(retained)
-
-    def theorem2_retained(self) -> FrozenSet[CheckpointId]:
-        """Theorem 2: as Theorem 1 but against the owner's *known* last
-        checkpoints ``ck[i][f]`` instead of the global ``last(f)``."""
-        tracker, last_stable, bases = self._state()
-        n = self._recorder.num_processes
-        departed = self._departed
-        retained = set()
-        for pid in range(n):
-            if pid in departed:
-                continue
-            known = tracker.ck[pid]
-            for k in range(bases[pid], last_stable[pid] + 1):
-                cid = CheckpointId(pid, k)
-                current = tracker.ckpt_ck[cid]
-                successor = self._snapshot(tracker, pid, k + 1, last_stable)
-                for f in range(n):
-                    if f in departed:
-                        continue
-                    m = known[f]
+                    m = pinned[f]
                     if m >= 0 and _entry(successor, f) >= m > _entry(current, f):
                         retained.add(cid)
                         break
         return frozenset(retained)
+
+    def theorem1_retained(self) -> FrozenSet[CheckpointId]:
+        """Theorem 1 over knowledge state."""
+        return self._retained(1)
+
+    def theorem2_retained(self) -> FrozenSet[CheckpointId]:
+        """Theorem 2 over knowledge state."""
+        return self._retained(2)
 
     def recovery_line(self, faulty_set: FrozenSet[int]) -> "GlobalCheckpoint":
         """Lemma 1: per process the last general checkpoint not causally

@@ -38,6 +38,7 @@ from repro.ccp.checkpoint import Checkpoint, CheckpointId, CheckpointKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ccp.analysis_cache import AnalysisCache
+    from repro.ccp.incremental import IncrementalAnalysisView
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +66,9 @@ class CCP:
         self,
         log: EventLog,
         *,
-        causal_order: Optional[CausalOrder] = None,
         recorded_dvs: Optional[Mapping[CheckpointId, Sequence[int]]] = None,
         message_intervals: Optional[Sequence[MessageInterval]] = None,
-        analysis_provider: Optional[object] = None,
+        analysis_provider: Optional["IncrementalAnalysisView"] = None,
         departed: Iterable[int] = (),
     ) -> None:
         """Build the CCP of the full recorded execution.
@@ -78,10 +78,6 @@ class CCP:
         log:
             The execution.  It must be causally replayable (every receive has a
             send); use :meth:`from_log` to restrict to a cut first.
-        causal_order:
-            A pre-computed :class:`CausalOrder` for ``log``.  Built lazily on
-            first event-level precedence query if absent — incrementally
-            maintained analyses never pay for the vector-clock replay.
         recorded_dvs:
             Dependency vectors recorded by the checkpointing middleware, keyed
             by checkpoint id.  When present they are attached to the
@@ -93,12 +89,12 @@ class CCP:
             incremental producers such as the simulation trace recorder, which
             tracks intervals as events are appended.
         analysis_provider:
-            An optional delta-maintained analysis source (see
-            :mod:`repro.ccp.incremental`).  When present, the
+            An optional checkpoint-knowledge analysis source (see
+            :mod:`repro.ccp.incremental`; every recorder snapshot carries
+            one).  When present, the
             :class:`~repro.ccp.analysis_cache.AnalysisCache` serves Theorem-1/2
             retained sets and recovery lines from it instead of recomputing
-            them from the event graph; ``provider.mode == "check"`` makes the
-            cache compute both and assert equality.
+            them from the event graph.
         departed:
             Pids that left the membership before this cut.  A departed
             process can never be faulty again, so the analyses exclude it
@@ -107,7 +103,9 @@ class CCP:
             invariant).
         """
         self._log = log
-        self._lazy_order = causal_order
+        # Built on the first event-level precedence query: analyses served
+        # by an ``analysis_provider`` never pay for the vector-clock replay.
+        self._lazy_order: Optional[CausalOrder] = None
         self._provider = analysis_provider
         self._departed = frozenset(departed)
         self._recorded_dvs = dict(recorded_dvs) if recorded_dvs else {}
@@ -204,8 +202,8 @@ class CCP:
         return self._lazy_order
 
     @property
-    def analysis_provider(self) -> Optional[object]:
-        """The delta-maintained analysis source attached to this pattern, if any."""
+    def analysis_provider(self) -> Optional["IncrementalAnalysisView"]:
+        """The checkpoint-knowledge analysis source attached to this pattern, if any."""
         return self._provider
 
     @property

@@ -257,7 +257,7 @@ def hierarchical_network_config(
         ]
         for a in range(num_processes)
     ]
-    partitions = None
+    partitions = PartitionSchedule.none()
     if partition_window and num_regions > 1:
         first_region = tuple(
             pid for pid in range(num_processes) if region_of(pid) == 0

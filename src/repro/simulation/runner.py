@@ -47,14 +47,13 @@ class SimulationConfig:
     sample_interval: Optional[float] = None
     audit: str = "off"
     keep_final_ccp: bool = False
-    #: Analysis mode of the trace recorder: ``"off"`` (classic full
-    #: recompute), ``"on"`` (delta-maintained checkpoint knowledge) or
-    #: ``"check"`` (both, cross-asserted — used by the equivalence tests).
-    incremental_analyses: str = "off"
     #: When True, collectors' obsolescence decisions are fed back to the
     #: trace recorder, which compacts garbage checkpoint intervals out of
-    #: the event log (implies ``incremental_analyses="on"``).  Persisted
-    #: traces are unaffected: sinks observe the full history.
+    #: the event log.  Audits and recovery lines come from the recorder's
+    #: checkpoint-knowledge tracker either way (it catches up lazily, at the
+    #: first analysis after new events), so pruning changes memory, not
+    #: answers.  Persisted traces are unaffected: sinks observe the full
+    #: history.
     prune_trace: bool = False
     #: When set, the run streams a replayable trace artifact to this path
     #: (see :mod:`repro.traceio`); ``trace_meta`` is free-form provenance
@@ -84,10 +83,6 @@ class SimulationConfig:
             raise ValueError("backend must be one of 'sim', 'live'")
         if self.audit not in ("off", "safety", "full"):
             raise ValueError("audit must be one of 'off', 'safety', 'full'")
-        if self.incremental_analyses not in ("off", "on", "check"):
-            raise ValueError(
-                "incremental_analyses must be one of 'off', 'on', 'check'"
-            )
         # Fail fast on fault models that cannot serve this process count
         # (undersized latency matrices, partitions naming unknown pids).
         self.network.validate_for(self.num_processes)
@@ -268,7 +263,6 @@ class SimulationRunner:
         self._transport = SimTransport(self._engine, self._network)
         self._trace = TraceRecorder(
             config.num_processes,
-            incremental_analyses=config.incremental_analyses,
             prune=config.prune_trace,
             # Static membership passes None so the recorder is bit-for-bit
             # the pre-membership one; joiners start dormant otherwise.

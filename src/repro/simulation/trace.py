@@ -8,7 +8,7 @@ of the recorded execution is exactly the pattern the paper's characterisations
 are stated over, so the recorder is what connects the *online* algorithms to
 the *offline* oracles in tests and benchmarks.
 
-The recorder maintains the expensive CCP substrate *incrementally* rather than
+The recorder maintains the CCP substrate *incrementally* rather than
 re-deriving it per snapshot:
 
 * checkpoint-interval indices of message send/receive events are assigned at
@@ -21,20 +21,22 @@ re-deriving it per snapshot:
   what lets ``audit="full"`` sampling stop rebuilding the pattern and its
   zigzag/obsolete analyses at every instant.
 
-``incremental_analyses`` selects how retained sets and recovery lines are
-produced at analysis instants:
-
-* ``"off"`` (default) — classic full recompute: a live
-  :class:`repro.causality.CausalOrder` is kept current with
-  :meth:`CausalOrder.refresh` and the analysis cache derives everything from
-  checkpoint-level precedence queries.
-* ``"on"`` — a :class:`repro.ccp.incremental.CheckpointKnowledgeTracker` is
-  maintained in O(P) per event and snapshots carry an
-  :class:`repro.ccp.incremental.IncrementalAnalysisView` as their
-  ``analysis_provider``; no vector-clock replay happens at all unless some
-  caller explicitly asks for event-level precedence.
-* ``"check"`` — both substrates are maintained and the analysis cache
-  asserts they agree (the cross-check mode the equivalence tests run).
+Retained sets and recovery lines come from one substrate, a
+:class:`repro.ccp.incremental.CheckpointKnowledgeTracker`: every snapshot
+carries an :class:`repro.ccp.incremental.IncrementalAnalysisView` as its
+``analysis_provider``.  The tracker is *lazy*.  Recording an event costs it
+nothing; the first analysis read after new events (:attr:`knowledge_tracker`)
+catches it up from the event log through per-process cursors.  A recorder
+that is never analysed does no tracker work at all
+(:attr:`knowledge_events_applied` stays 0).  History rewrites keep the
+contract: pruning catches up first (the dropped events cannot be applied
+afterwards), recovery truncation clips the cursors at the cut (or, when an
+inconsistent line orphans an applied receive, starts the tracker over), and
+a join pads the tracker.  No vector-clock replay happens unless some caller asks a
+snapshot for event-level precedence, which builds a
+:class:`repro.causality.CausalOrder` for that snapshot only.  The classic
+full recompute is the tracker's test-time reference
+(``tests/differential.py``).
 
 ``prune=True`` additionally lets the recorder *consume* the obsolescence
 decisions collectors emit (:meth:`record_elimination`): once a contiguous
@@ -45,16 +47,16 @@ Pruning weakens the cut to a *send-closed consistent* one first, which is
 exactly what keeps the zigzag relation of every retained checkpoint intact;
 receives of pruned sends that arrive later are recorded as INTERNAL events
 (their knowledge merge still happens, so Theorem-2 state stays exact).
-Pruning implies ``incremental_analyses="on"``: on a pruned log the classic
-recomputation is no longer a valid stand-in for ground truth, the maintained
-knowledge state is.
+Pruning switches no analysis mode (there is only the one substrate); it
+only means the classic recomputation is no longer a valid stand-in for
+ground truth, so the tracker's knowledge state is the sole oracle.
 
 Recovery sessions rewrite history: the post-rollback state of the system is the
 recovery-line cut, so :meth:`apply_recovery` truncates each rolled-back
 process's history at its recovery-line component (the resulting prefix is a
 consistent cut because the recovery line is consistent), forgets the
-checkpoints that were rolled back, and rebuilds the incremental state from the
-truncated log (the one place the live substrate is invalidated wholesale).
+checkpoints that were rolled back, and rebuilds the interval bookkeeping from
+the truncated log.
 
 Persistence: the recorder accepts :class:`TraceSink` observers
 (:meth:`attach_sink`).  Every successfully recorded occurrence — including
@@ -82,13 +84,8 @@ from typing import (
 )
 
 from repro.causality.events import EventKind, EventLog
-from repro.causality.happens_before import CausalOrder
 from repro.ccp.checkpoint import CheckpointId
-from repro.ccp.incremental import (
-    INCREMENTAL_MODES,
-    CheckpointKnowledgeTracker,
-    IncrementalAnalysisView,
-)
+from repro.ccp.incremental import CheckpointKnowledgeTracker, IncrementalAnalysisView
 from repro.ccp.pattern import CCP, MessageInterval
 from repro.membership import MembershipView
 from repro.recovery.rollback_plan import RollbackPlan
@@ -146,21 +143,10 @@ class TraceRecorder:
         self,
         num_processes: int,
         *,
-        incremental_analyses: str = "off",
         prune: bool = False,
         prune_threshold: int = 512,
         initial_members: Optional[Iterable[int]] = None,
     ) -> None:
-        if incremental_analyses not in INCREMENTAL_MODES:
-            raise ValueError(
-                f"unknown incremental_analyses mode {incremental_analyses!r} "
-                f"(expected one of {INCREMENTAL_MODES})"
-            )
-        if prune and incremental_analyses == "off":
-            # Classic recomputation over a pruned log is not authoritative
-            # (the event graph loses edges); pruning requires the maintained
-            # knowledge state.
-            incremental_analyses = "on"
         self._num_processes = num_processes
         # Membership: pids without a join event are members from the start;
         # dormant joiners exist in the log (empty history) until they join.
@@ -171,20 +157,9 @@ class TraceRecorder:
         self._log = EventLog(num_processes)
         self._recorded_dvs: Dict[CheckpointId, Tuple[int, ...]] = {}
         self._dropped_messages: set[int] = set()
-        # Incremental CCP substrate.
+        # Incremental CCP substrate; the tracker catches up only when read.
         self._version = 0
-        self._incremental = incremental_analyses
-        self._tracker: Optional[CheckpointKnowledgeTracker] = (
-            CheckpointKnowledgeTracker(num_processes)
-            if incremental_analyses != "off"
-            else None
-        )
-        # "on" mode never replays vector clocks; a CCP snapshot builds a
-        # causal order lazily only if some caller asks for event-level
-        # precedence explicitly.
-        self._order: Optional[CausalOrder] = (
-            CausalOrder(self._log) if incremental_analyses != "on" else None
-        )
+        self._tracker = CheckpointKnowledgeTracker(num_processes)
         self._checkpoints_taken = [0] * num_processes
         self._message_intervals: Dict[int, MessageInterval] = {}
         self._pending_sends: Dict[int, Tuple[int, int, int, int]] = {}
@@ -222,11 +197,6 @@ class TraceRecorder:
         return self._version
 
     @property
-    def incremental_analyses(self) -> str:
-        """The analysis mode this recorder runs in (``off``/``on``/``check``)."""
-        return self._incremental
-
-    @property
     def pruning_enabled(self) -> bool:
         """True if obsolescence-driven log compaction is active."""
         return self._prune_enabled
@@ -237,9 +207,15 @@ class TraceRecorder:
         return self._pruned_events
 
     @property
-    def knowledge_tracker(self) -> Optional[CheckpointKnowledgeTracker]:
-        """The maintained checkpoint-knowledge state (None in ``off`` mode)."""
+    def knowledge_tracker(self) -> CheckpointKnowledgeTracker:
+        """The checkpoint-knowledge state, first caught up with the log."""
+        self._tracker.catch_up(self._log)
         return self._tracker
+
+    @property
+    def knowledge_events_applied(self) -> int:
+        """Events the knowledge tracker has applied so far (never catches up)."""
+        return self._tracker.applied_events
 
     @property
     def checkpoints_taken(self) -> Tuple[int, ...]:
@@ -288,8 +264,6 @@ class TraceRecorder:
             self._checkpoints_taken[sender],
             event.seq,
         )
-        if self._tracker is not None:
-            self._tracker.note_send(message_id, sender)
         self._version += 1
         for sink in self._sinks:
             sink.on_send(sender, receiver, message_id, time)
@@ -309,9 +283,7 @@ class TraceRecorder:
         if message_id in self._pruned_pending:
             _, receiver = self._pruned_pending.pop(message_id)
             event = self._log.add_internal(receiver, time=time)
-            assert self._tracker is not None
-            self._tracker.note_receive(message_id, receiver, event.seq)
-            self._tracker.forget_messages([message_id])
+            self._tracker.note_pruned_receive(receiver, event.seq, message_id)
             self._pruned_delivered[message_id] = receiver
             self._version += 1
             for sink in self._sinks:
@@ -330,8 +302,6 @@ class TraceRecorder:
             send_seq=send_seq,
             receive_seq=event.seq,
         )
-        if self._tracker is not None:
-            self._tracker.note_receive(message_id, receiver, event.seq)
         self._version += 1
         for sink in self._sinks:
             sink.on_receive(message_id, time)
@@ -384,8 +354,6 @@ class TraceRecorder:
         self._recorded_dvs[cid] = tuple(dependency_vector)
         self._checkpoints_taken[pid] = index + 1
         self._ckpt_seq[cid] = event.seq
-        if self._tracker is not None:
-            self._tracker.note_checkpoint(pid, index, event.seq)
         self._version += 1
         for sink in self._sinks:
             sink.on_checkpoint(pid, index, dependency_vector, forced=forced, time=time)
@@ -449,16 +417,11 @@ class TraceRecorder:
     def _grow_to(self, num_processes: int) -> None:
         """Extend every per-process structure to a larger capacity."""
         self._log.grow_to(num_processes)
-        if self._tracker is not None:
-            self._tracker.grow(num_processes)
+        self._tracker.grow(num_processes)
         pad = num_processes - self._num_processes
         self._checkpoints_taken.extend([0] * pad)
         self._prune_floor.extend([0] * pad)
         self._num_processes = num_processes
-        if self._order is not None:
-            # The causal order's clocks are sized at construction; joins are
-            # rare, so a fresh replay is simpler than widening every clock.
-            self._order = CausalOrder(self._log)
 
     # ------------------------------------------------------------------
     # Obsolescence-driven pruning
@@ -549,6 +512,9 @@ class TraceRecorder:
 
     def _perform_prune(self, cut: List[int], starts: List[int]) -> None:
         """Apply a computed send-closed cut: rewrite the log and remap state."""
+        # The dropped events carry knowledge the tracker cannot re-derive
+        # afterwards, so it must have applied them first.
+        self._tracker.catch_up(self._log)
         pruned_delivered = [
             message_id
             for message_id, interval in self._message_intervals.items()
@@ -594,12 +560,9 @@ class TraceRecorder:
             for cid, seq in self._ckpt_seq.items()
             if cid.index >= cut[cid.pid]
         }
-        if self._tracker is not None:
-            self._tracker.apply_suffix(starts)
-            self._tracker.forget_checkpoints(stale_cids)
-            self._tracker.forget_messages(pruned_delivered)
-        if self._order is not None:
-            self._order = CausalOrder(self._log)
+        self._tracker.apply_suffix(starts)
+        self._tracker.forget_checkpoints(stale_cids)
+        self._tracker.forget_messages(pruned_delivered)
         self._pruned_events += sum(starts)
         self._ccp_cache = None
         self._version += 1
@@ -640,9 +603,7 @@ class TraceRecorder:
             if message.message_id not in surviving_messages:
                 self._dropped_messages.add(message.message_id)
                 newly_dropped.append(message.message_id)
-        if self._tracker is not None:
-            self._tracker.apply_truncation(lengths)
-            self._tracker.forget_messages(newly_dropped)
+        self._tracker.apply_truncation(self._log, lengths, newly_dropped)
         self._log = self._log.prefix(lengths)
         for pid in range(self._num_processes):
             rollback = plan.rollback_for(pid)
@@ -655,8 +616,7 @@ class TraceRecorder:
             ]
             for cid in stale:
                 del self._recorded_dvs[cid]
-            if self._tracker is not None:
-                self._tracker.forget_checkpoints(stale)
+            self._tracker.forget_checkpoints(stale)
             # Rolled-back checkpoint indices are *reused* after recovery
             # (stable storage rewinds its next index), so elimination facts
             # recorded for the discarded incarnations must not survive to
@@ -669,15 +629,13 @@ class TraceRecorder:
             self._prune_floor[pid] = min(
                 self._prune_floor[pid], rollback.rollback_index
             )
-        self._rebuild_incremental_state()
+        self._rebuild_intervals()
         self._version += 1
         for sink in self._sinks:
             sink.on_recovery(plan)
 
-    def _rebuild_incremental_state(self) -> None:
-        """Re-derive the live substrate after history was truncated."""
-        if self._order is not None:
-            self._order = CausalOrder(self._log)
+    def _rebuild_intervals(self) -> None:
+        """Re-derive the interval bookkeeping after history was truncated."""
         self._ccp_cache = None
         self._pending_sends.clear()
         self._message_intervals.clear()
@@ -758,22 +716,14 @@ class TraceRecorder:
         if volatile_dvs is not None:
             for pid, dv in volatile_dvs.items():
                 recorded[CheckpointId(pid, self._checkpoints_taken[pid])] = tuple(dv)
-        if self._order is not None:
-            self._order.refresh()
         intervals = [
             self._message_intervals[mid] for mid in sorted(self._message_intervals)
         ]
-        provider = (
-            IncrementalAnalysisView(self, self._incremental)
-            if self._tracker is not None
-            else None
-        )
         ccp = CCP(
             self._log,
-            causal_order=self._order,
             recorded_dvs=recorded,
             message_intervals=intervals,
-            analysis_provider=provider,
+            analysis_provider=IncrementalAnalysisView(self),
             departed=self._membership.departed,
         )
         self._ccp_cache = (self._version, fingerprint, ccp)

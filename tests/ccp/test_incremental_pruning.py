@@ -5,8 +5,9 @@ Property corpus for the incremental subsystem: a pruning
 must answer every analysis — Theorem-1/2 retained sets, Lemma-1 recovery
 lines, the zigzag relation — exactly as an identically-fed unpruned twin
 does over the surviving (live) checkpoint window, at every instant of the
-churn schedule.  ``"check"`` mode recorders cross-assert the incremental and
-classic answers internally; the blocked bitset kernel is additionally pinned
+churn schedule.  The test-time differential (``tests/differential.py``)
+compares the tracker's answers with the classic full recompute of the same
+log; the blocked bitset kernel is additionally pinned
 to the brute-force reference on *pruned* (based) logs, where closures start
 at per-process base intervals rather than zero; and the numpy backend must
 agree with the big-int backend bit for bit.
@@ -19,10 +20,12 @@ must remain a complete, faithful artifact (pruning is invisible to sinks).
 """
 
 import pytest
+from differential import DifferentialRunner, assert_matches_classic, classic_ccp
 
 from repro.ccp.checkpoint import CheckpointId
 from repro.ccp.zigzag import BruteForceZigzagAnalysis, ZigzagAnalysis
 from repro.scenarios.random_patterns import TraceFeeder, random_ccp_script
+from repro.simulation.runner import SimulationRunner
 from repro.simulation.trace import TraceRecorder
 
 SEEDS = list(range(40))
@@ -147,24 +150,18 @@ class TestPrunedEqualsFullRecompute:
             _eliminate_theorem1_garbage(pruned)
 
 
-class TestCheckModeCrossAsserts:
-    """``"check"`` recorders compare incremental vs classic at every query."""
+class TestDifferentialAgainstClassic:
+    """The tracker's answers equal the classic recompute at every query."""
 
     @pytest.mark.parametrize("seed", SEEDS[::3])
     def test_chunked_feed_with_queries(self, seed):
         script = _script(seed)
         num_processes = 2 + seed % 5
-        recorder = TraceRecorder(num_processes, incremental_analyses="check")
+        recorder = TraceRecorder(num_processes)
         feeder = TraceFeeder(recorder)
         for chunk in _chunks(script):
             feeder.feed(chunk)
-            ccp = recorder.ccp()
-            # Each access runs the incremental view AND the classic oracle
-            # and raises on any mismatch.
-            ccp.analyses.theorem1_retained
-            ccp.analyses.theorem2_retained
-            for faulty in range(num_processes):
-                ccp.analyses.recovery_line({faulty})
+            assert_matches_classic(recorder)
 
 
 class TestKernelOnBasedLogs:
@@ -209,9 +206,9 @@ class TestKernelOnBasedLogs:
 class TestChurnSchedules:
     """Crash/recovery churn: pruning + truncation rebuilds + index reuse."""
 
-    def _run(self, seed, *, prune, crashes, incremental="off"):
+    def _run(self, seed, *, prune, crashes, runner_class=SimulationRunner):
         from repro.simulation.failures import FailureSchedule
-        from repro.simulation.runner import SimulationConfig, SimulationRunner
+        from repro.simulation.runner import SimulationConfig
         from repro.simulation.workloads import UniformRandomWorkload
 
         config = SimulationConfig(
@@ -224,9 +221,8 @@ class TestChurnSchedules:
             seed=seed,
             audit="full",
             prune_trace=prune,
-            incremental_analyses=incremental,
         )
-        runner = SimulationRunner(config)
+        runner = runner_class(config)
         result = runner.run()
         return runner, result
 
@@ -244,7 +240,8 @@ class TestChurnSchedules:
         assert pruned_result.all_audits_safe and pruned_result.all_audits_optimal
         assert full_result.all_audits_safe and full_result.all_audits_optimal
         pruned_ccp = pruned_runner.current_ccp()
-        truth_ccp = full_runner.current_ccp()
+        # The twin is answered by the classic recompute, not by its tracker.
+        truth_ccp = classic_ccp(full_runner.trace)
         bases = pruned_runner.trace.log.checkpoint_bases
         live_t1 = {
             cid
@@ -258,18 +255,16 @@ class TestChurnSchedules:
             ) == truth_ccp.analyses.recovery_line({faulty})
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_check_mode_survives_recovery_truncation(self, seed):
+    def test_differential_survives_recovery_truncation(self, seed):
         crashes = [(60.0, seed % 4), (110.0, (seed + 1) % 4)]
         runner, result = self._run(
-            seed, prune=False, crashes=crashes, incremental="check"
+            seed, prune=False, crashes=crashes, runner_class=DifferentialRunner
         )
         assert len(result.recoveries) == 2
         assert result.all_audits_safe
-        ccp = runner.current_ccp()
-        ccp.analyses.theorem1_retained
-        ccp.analyses.theorem2_retained
-        for faulty in range(4):
-            ccp.analyses.recovery_line({faulty})
+        # Two after-recovery audits and the final one.
+        assert runner.checks == 3
+        assert_matches_classic(runner.trace)
 
     def test_pruned_run_trace_replays_and_verifies(self, tmp_path):
         """Sinks see the full history: a pruned run's trace stays complete."""

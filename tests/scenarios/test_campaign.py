@@ -1,5 +1,6 @@
 """Tests for the campaign subsystem: expansion, seeding, store, pool, aggregation."""
 
+import hashlib
 import json
 import statistics
 
@@ -352,6 +353,42 @@ class TestMembershipAxis:
         network.validate_for(6)
         with pytest.raises(ValueError):
             network.validate_for(7)
+
+    @pytest.mark.parametrize("num_processes", range(1, 6))
+    def test_hierarchical_config_without_regions_has_no_partitions(
+        self, num_processes
+    ):
+        """Regression: below two regions the partition schedule was None,
+        and validate_for raised AttributeError on it."""
+        network = hierarchical_network_config(num_processes=num_processes)
+        assert not network.partitions
+        network.validate_for(num_processes)
+        assert "partitions" not in network.describe()
+
+    def test_small_topology_sweep_runs(self):
+        spec = topology_campaign_spec(
+            num_processes=4,
+            duration=12.0,
+            num_seeds=1,
+            collectors=[("rdt-lgc", {})],
+        )
+        run = run_campaign(spec)
+        assert run.executed == spec.cell_count > 0
+        assert not run.failed_records
+
+    def test_topology_identities_unchanged_from_six_processes(self):
+        """The fix must not re-identify any existing (>= 6 process) cell."""
+        spec = topology_campaign_spec(num_processes=6, duration=30.0, num_seeds=2)
+        ids = "\n".join(cell.cell_id for cell in spec.cells())
+        assert hashlib.sha256(ids.encode()).hexdigest() == (
+            "1b067cc4c42191de9797236ba2e34c8052391a2810c818e69d2e623bf1de77d5"
+        )
+        describe = json.dumps(
+            hierarchical_network_config(num_processes=6).describe(), sort_keys=True
+        )
+        assert hashlib.sha256(describe.encode()).hexdigest() == (
+            "2e672478a74b9dbdc8a1a7615ebfd9c59f0fd7b536ab4f0bf53dc3301bc92335"
+        )
 
 
 class TestFaultModelAxes:

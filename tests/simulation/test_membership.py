@@ -9,7 +9,9 @@ backward compatibility of membership-free traces).
 """
 
 import pytest
+from differential import DifferentialRunner
 
+from repro.causality.events import EventLog
 from repro.ccp.incremental import CheckpointKnowledgeTracker
 from repro.membership import (
     MembershipError,
@@ -201,10 +203,12 @@ class TestRunnerMembership:
             _dynamic_config(duration=50.0)
 
     def test_incremental_analyses_agree_under_churn(self):
-        """The delta-maintained substrate must match the classic recompute
-        across joins (matrix growth) and leaves (departed exclusion)."""
-        config = _dynamic_config(incremental_analyses="check")
-        result = run_simulation(config)
+        """The checkpoint-knowledge substrate must match the classic
+        recompute across joins (matrix growth) and leaves (departed
+        exclusion), at every audit instant."""
+        runner = DifferentialRunner(_dynamic_config())
+        result = runner.run()
+        assert runner.checks == len(result.audits) >= 1
         assert result.all_audits_safe and result.all_audits_optimal
 
 
@@ -274,10 +278,13 @@ class TestRecorderMembership:
     def test_tracker_out_of_range_pid_raises_membership_error(self):
         """Regression: fixed n-by-n matrices used to fail with IndexError."""
         tracker = CheckpointKnowledgeTracker(2)
-        with pytest.raises(MembershipError, match="outside the tracked capacity"):
-            tracker.note_send(0, sender=5)
+        log = EventLog(3)
+        log.add_send(2, 0, message_id=0)
+        with pytest.raises(MembershipError, match="tracked capacity is 2"):
+            tracker.catch_up(log)
         tracker.grow(3)
-        tracker.note_send(0, sender=2)
+        tracker.catch_up(log)
+        assert tracker.msg_ck[0] == (-1, -1, -1)
         with pytest.raises(MembershipError):
             tracker.grow(2)  # shrinking is not a thing
 
